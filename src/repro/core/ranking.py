@@ -28,6 +28,7 @@ from ..partitioning.cost_model import CostModel
 from ..partitioning.operations import RepartitionOperation
 from ..partitioning.plan import PartitionPlan
 from ..routing.epoch import MapView
+from ..types import PartitionId
 from ..workload.profile import WorkloadProfile
 
 
@@ -74,20 +75,31 @@ def generate_and_rank(
     for key in ops_by_key:
         for candidate in key_index.get(key, ()):
             candidate_ids.add(candidate.type_id)
+    # ``C_i(O) − C_i(P)`` comes from the same pass: one primary read per
+    # key gives both the partitions the type touches now and (for keys
+    # the plan leaves alone) under P.
+    assignment = plan.assignment
     top: dict[int, list[RepartitionOperation]] = {}
     improvements: dict[int, float] = {}
     for type_id in sorted(candidate_ids, key=profile.position):
         ttype = profile.type(type_id)
         group: list[RepartitionOperation] = []
         seen: set[int] = set()
+        under_map: set[PartitionId] = set()
+        under_plan: set[PartitionId] = set()
         for key in ttype.keys:
+            source = current.primary_of(key)
+            under_map.add(source)
+            under_plan.add(assignment.get(key, source))
             for op in ops_by_key.get(key, ()):  # pragma: no branch
                 if op.op_id not in seen:
                     group.append(op)
                     seen.add(op.op_id)
         if not group:
             continue
-        delta = cost_model.improvement(ttype, plan, current)
+        delta = cost_model.txn_cost(len(under_map)) - cost_model.txn_cost(
+            len(under_plan)
+        )
         if delta <= 0:
             continue
         top[ttype.type_id] = group

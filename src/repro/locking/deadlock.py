@@ -41,6 +41,11 @@ class DeadlockDetector:
 
     def __init__(self, victim_policy: VictimPolicy = youngest_victim) -> None:
         self._waits_for: dict[TxnId, set[TxnId]] = {}
+        #: blocker -> waiters that had it among their blockers: a
+        #: superset of the waiters whose set holds it now.  Stale entries
+        #: (the waiter has since stopped waiting on it) only cost a no-op
+        #: discard in :meth:`remove_transaction`.
+        self._waited_by: dict[TxnId, set[TxnId]] = {}
         self._victim_policy = victim_policy
         #: txn -> (lock manager, key, pending event) of its active wait.
         self._wait_sites: dict[TxnId, tuple[object, TxnId, object]] = {}
@@ -70,7 +75,16 @@ class DeadlockDetector:
         """Replace the outgoing edges of ``waiter``."""
         blockers = {b for b in blockers if b != waiter}
         if blockers:
+            previous = self._waits_for.get(waiter)
             self._waits_for[waiter] = blockers
+            # Blockers already in the previous set are indexed already.
+            waited_by = self._waited_by
+            for blocker in blockers - previous if previous else blockers:
+                waiters = waited_by.get(blocker)
+                if waiters is None:
+                    waited_by[blocker] = {waiter}
+                else:
+                    waiters.add(waiter)
         else:
             self._waits_for.pop(waiter, None)
 
@@ -80,10 +94,13 @@ class DeadlockDetector:
 
     def remove_transaction(self, txn_id: TxnId) -> None:
         """Purge a finished transaction from the graph entirely."""
-        self._waits_for.pop(txn_id, None)
+        waits_for = self._waits_for
+        waits_for.pop(txn_id, None)
         self._wait_sites.pop(txn_id, None)
-        for blockers in self._waits_for.values():
-            blockers.discard(txn_id)
+        for waiter in self._waited_by.pop(txn_id, ()):
+            blockers = waits_for.get(waiter)
+            if blockers is not None:
+                blockers.discard(txn_id)
 
     def waits_of(self, waiter: TxnId) -> frozenset[TxnId]:
         """Current blockers of ``waiter`` (empty if not waiting)."""
@@ -95,30 +112,31 @@ class DeadlockDetector:
     def find_cycle(self, start: TxnId) -> Optional[tuple[TxnId, ...]]:
         """Find a cycle reachable from ``start``, if any.
 
-        Iterative DFS over the wait-for graph; returns the cycle as a
-        tuple of transaction ids, or ``None``.
+        Iterative DFS over the wait-for graph (an explicit stack of
+        successor iterators, so chain depth is not bounded by the Python
+        recursion limit); returns the cycle as a tuple of transaction
+        ids, or ``None``.
         """
-        path: list[TxnId] = []
-        on_path: set[TxnId] = set()
+        waits_for = self._waits_for
+        path: list[TxnId] = [start]
+        on_path: set[TxnId] = {start}
         visited: set[TxnId] = set()
-
-        def dfs(node: TxnId) -> Optional[tuple[TxnId, ...]]:
-            path.append(node)
-            on_path.add(node)
-            for successor in self._waits_for.get(node, ()):
+        stack = [iter(waits_for.get(start, ()))]
+        while stack:
+            for successor in stack[-1]:
                 if successor in on_path:
-                    idx = path.index(successor)
-                    return tuple(path[idx:])
+                    return tuple(path[path.index(successor):])
                 if successor not in visited:
-                    cycle = dfs(successor)
-                    if cycle is not None:
-                        return cycle
-            path.pop()
-            on_path.remove(node)
-            visited.add(node)
-            return None
-
-        return dfs(start)
+                    path.append(successor)
+                    on_path.add(successor)
+                    stack.append(iter(waits_for.get(successor, ())))
+                    break
+            else:
+                stack.pop()
+                node = path.pop()
+                on_path.remove(node)
+                visited.add(node)
+        return None
 
     def check(self, start: TxnId) -> Optional[TxnId]:
         """Detect a cycle involving ``start``; return the chosen victim."""

@@ -286,19 +286,29 @@ class LockManager:
             waiter.event.succeed(key)
 
     def _refresh_wait_edges(self, key: TupleKey, entry: _Entry) -> None:
-        """Recompute the wait-for edges contributed by ``key``'s queue."""
-        if self.detector is None:
+        """Recompute the wait-for edges contributed by ``key``'s queue.
+
+        An X waiter is blocked by every other entry ahead of it, an S
+        waiter only by the X entries ahead.  New blockers are unioned
+        with the waiter's existing edges, so edges from other keys (and
+        stale ones) survive until the waiter stops waiting.
+        """
+        detector = self.detector
+        if detector is None:
             return
-        ahead: list[tuple[TxnId, LockMode]] = list(entry.holders.items())
+        exclusive = LockMode.EXCLUSIVE
+        ahead = list(entry.holders)
+        ahead_x = [txn for txn, mode in entry.holders.items() if mode is exclusive]
         for waiter in entry.waiters:
-            blockers = {
-                txn
-                for txn, mode in ahead
-                if txn != waiter.txn_id and not _compatible(waiter.mode, mode)
-            }
-            existing = self.detector.waits_of(waiter.txn_id)
-            self.detector.set_waits(waiter.txn_id, blockers | set(existing))
-            ahead.append((waiter.txn_id, waiter.mode))
+            waiter_id = waiter.txn_id
+            if waiter.mode is exclusive:
+                blockers = {txn for txn in ahead if txn != waiter_id}
+                ahead_x.append(waiter_id)
+            else:
+                blockers = {txn for txn in ahead_x if txn != waiter_id}
+            existing = detector.waits_of(waiter_id)
+            detector.set_waits(waiter_id, blockers | set(existing))
+            ahead.append(waiter_id)
 
     def _run_deadlock_check(self, txn_id: TxnId) -> None:
         if self.detector is None:

@@ -116,17 +116,6 @@ class CostModel:
             len(self.partitions_under_plan(keys, plan, current))
         )
 
-    def improvement(
-        self,
-        ttype: TransactionType,
-        plan: PartitionPlan,
-        current: MapView,
-    ) -> float:
-        """``C_i(O) − C_i(P)`` for one transaction type (can be <= 0)."""
-        return self.cost_under_map(ttype.keys, current) - self.cost_under_plan(
-            ttype.keys, plan, current
-        )
-
     # ------------------------------------------------------------------
     # Repartition transaction costs
     # ------------------------------------------------------------------

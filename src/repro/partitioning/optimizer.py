@@ -53,6 +53,7 @@ class RepartitionOptimizer:
             raise ConfigError("optimizer needs at least one partition")
         self.cost_model = cost_model
         self.partitions = list(partitions)
+        self._placeable = frozenset(self.partitions)
         self.config = config or OptimizerConfig()
 
     # ------------------------------------------------------------------
@@ -87,37 +88,46 @@ class RepartitionOptimizer:
 
         Types are processed hottest-first so the most beneficial
         placements get first pick of partitions; keys claimed by a hotter
-        type are not reassigned by a colder one.
+        type are not reassigned by a colder one.  Each type's
+        per-partition key counts are read from ``current`` once, when the
+        loads are seeded, and reused for the collocation check, the
+        target choice and the load update.
         """
         plan = PartitionPlan()
         load: dict[PartitionId, float] = {p: 0.0 for p in self.partitions}
-
-        # Seed loads with what is already resident.
-        index = profile.key_index()
-        for ttype in profile.types:
-            home = self._current_home(ttype, current)
-            load[home] = load.get(home, 0.0) + ttype.frequency
 
         candidates = list(types_to_fix) if types_to_fix is not None else list(
             profile.types
         )
         candidates.sort(key=lambda t: (-t.frequency, t.type_id))
+        candidate_ids = {t.type_id for t in candidates}
 
+        # Seed loads with what is already resident, keeping the
+        # candidates' counts for the loop below.
+        counts_of: dict[int, dict[PartitionId, int]] = {}
+        for ttype in profile.types:
+            counts = _key_counts(ttype, current)
+            home = _home(counts)
+            load[home] = load.get(home, 0.0) + ttype.frequency
+            if ttype.type_id in candidate_ids:
+                counts_of[ttype.type_id] = counts
+
+        index = profile.key_index()
         claimed: set[int] = set()
         for ttype in candidates:
-            keys = [k for k in ttype.keys if k not in claimed]
-            if not keys:
+            if all(k in claimed for k in ttype.keys):
                 continue
-            partitions_now = {current.primary_of(k) for k in ttype.keys}
-            if len(partitions_now) == 1:
+            counts = counts_of.get(ttype.type_id)
+            if counts is None:  # a candidate from outside the profile
+                counts = _key_counts(ttype, current)
+            if len(counts) == 1:
                 continue  # already collocated, nothing to plan
-            target = self._choose_target(ttype, current, load)
+            target = self._choose_target(counts, load)
             for key in ttype.keys:
                 plan.assign(key, target)
                 claimed.add(key)
             # Update load estimate: the type now runs on its target.
-            previous_home = self._current_home(ttype, current)
-            load[previous_home] -= ttype.frequency
+            load[_home(counts)] -= ttype.frequency
             load[target] += ttype.frequency
             # Types sharing keys with this one are constrained; skip them
             # by claiming their keys is sufficient (handled above).
@@ -127,34 +137,38 @@ class RepartitionOptimizer:
                         claimed.update(other.keys)
         return plan
 
-    def _current_home(
-        self, ttype: TransactionType, current: MapView
-    ) -> PartitionId:
-        """The partition carrying the type's work now (majority partition)."""
-        counts: dict[PartitionId, int] = {}
-        for key in ttype.keys:
-            pid = current.primary_of(key)
-            counts[pid] = counts.get(pid, 0) + 1
-        return min(counts, key=lambda p: (-counts[p], p))
-
     def _choose_target(
         self,
-        ttype: TransactionType,
-        current: MapView,
+        counts: dict[PartitionId, int],
         load: dict[PartitionId, float],
     ) -> PartitionId:
         """Pick the collocation target for one type.
 
         Prefer the partition already holding the most of the type's
         tuples (fewest migrations); break ties toward the least-loaded
-        partition, then by id for determinism.
+        partition, then by id for determinism.  Only placement
+        partitions qualify.  A partition holding none of the type's keys
+        can win only when no holder is a placement partition, so the
+        full scan runs only then.
         """
-        counts: dict[PartitionId, int] = {p: 0 for p in self.partitions}
-        for key in ttype.keys:
-            pid = current.primary_of(key)
-            if pid in counts:
-                counts[pid] += 1
-        return min(
-            self.partitions,
-            key=lambda p: (-counts[p], load.get(p, 0.0), p),
-        )
+        placeable = self._placeable
+        holders = [p for p in counts if p in placeable]
+        if holders:
+            return min(holders, key=lambda p: (-counts[p], load[p], p))
+        return min(self.partitions, key=lambda p: (load[p], p))
+
+
+def _key_counts(
+    ttype: TransactionType, current: MapView
+) -> dict[PartitionId, int]:
+    """How many of the type's keys each partition holds now."""
+    counts: dict[PartitionId, int] = {}
+    for key in ttype.keys:
+        pid = current.primary_of(key)
+        counts[pid] = counts.get(pid, 0) + 1
+    return counts
+
+
+def _home(counts: dict[PartitionId, int]) -> PartitionId:
+    """The partition carrying a type's work now (majority partition)."""
+    return min(counts, key=lambda p: (-counts[p], p))

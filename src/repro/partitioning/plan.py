@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from itertools import count
 from typing import Iterator, Optional, Sequence
 
-from ..errors import PartitioningError
+from ..errors import PartitioningError, RoutingError
 from ..routing.epoch import MapDelta, MapView
 from ..types import PartitionId, TupleKey
 from .operations import (
@@ -84,9 +84,12 @@ def diff_plan(
     ids = count(start_op_id)
     operations: list[RepartitionOperation] = []
     for key, target in plan.assignment.items():
-        if key not in current:
-            raise PartitioningError(f"plan references unmapped tuple {key}")
-        source = current.primary_of(key)
+        try:
+            source = current.primary_of(key)
+        except RoutingError:
+            raise PartitioningError(
+                f"plan references unmapped tuple {key}"
+            ) from None
         if source != target:
             operations.append(
                 Migrate(op_id=next(ids), key=key, source=source, destination=target)

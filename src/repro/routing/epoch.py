@@ -229,7 +229,14 @@ class MapEpoch:
 
     def primary_of(self, key: TupleKey) -> PartitionId:
         """The primary replica's partition as of this epoch."""
-        return self.replicas_of(key)[0]
+        value = self._resolve(key)
+        if value is _UNTOUCHED:
+            return self._store.live_map.primary_of(key)
+        if value is None:
+            raise RoutingError(
+                f"tuple {key} is not mapped to any partition"
+            )
+        return value[0]
 
     def replica_count(self, key: TupleKey) -> int:
         """Number of replicas of ``key`` as of this epoch."""

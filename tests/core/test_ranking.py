@@ -75,6 +75,35 @@ class TestBenefits:
             assert spec.cost == pytest.approx(3.0 * len(spec.ops))
 
 
+class TestImprovement:
+    """``C_i(O) − C_i(P)`` as Algorithm 1 computes it (evens on 0, odds on 1)."""
+
+    @staticmethod
+    def rank(ttype, plan):
+        pmap = PartitionMap()
+        for key in range(10):
+            pmap.assign(key, key % 2)
+        profile = WorkloadProfile(table="t", types=[ttype])
+        ops = diff_plan(pmap, plan)
+        return generate_and_rank(ops, plan, pmap, profile, CostModel())
+
+    def test_improvement_positive_for_collocation(self):
+        ttype = TransactionType(type_id=0, keys=(0, 1), frequency=2.0)
+        [spec] = self.rank(ttype, PartitionPlan({1: 0}))
+        # frequency 2.0 times an improvement of 2C - C = 1.0.
+        assert (spec.type_id, spec.benefit) == (0, 2.0)
+
+    def test_improvement_zero_when_already_local(self):
+        ttype = TransactionType(type_id=0, keys=(0, 2), frequency=2.0)
+        [spec] = self.rank(ttype, PartitionPlan({0: 1, 2: 1}))
+        assert (spec.type_id, spec.benefit) == (-1, 0.0)
+
+    def test_improvement_negative_when_plan_splits(self):
+        ttype = TransactionType(type_id=0, keys=(0, 2), frequency=1.0)
+        [spec] = self.rank(ttype, PartitionPlan({2: 1}))
+        assert (spec.type_id, spec.benefit) == (-1, 0.0)
+
+
 class TestFiltering:
     def test_non_improving_types_excluded(self):
         """A type already collocated contributes no repartition txn."""

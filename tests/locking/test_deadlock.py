@@ -1,6 +1,12 @@
 """Tests for the wait-for-graph deadlock detector."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.locking import DeadlockDetector, youngest_victim
+
+#: Deeper than the default recursion limit (1000).
+DEEP_CHAIN = 3000
 
 
 class TestGraphMaintenance:
@@ -77,6 +83,120 @@ class TestCycleDetection:
         detector = DeadlockDetector()
         detector.set_waits(1, [2])
         assert detector.check(1) is None
+
+
+class TestDeepChains:
+    """``find_cycle`` keeps its own stack: chain depth is not limited by
+    the Python recursion limit."""
+
+    @staticmethod
+    def chain(closed):
+        detector = DeadlockDetector()
+        for txn in range(DEEP_CHAIN - 1):
+            detector.set_waits(txn, [txn + 1])
+        if closed:
+            detector.set_waits(DEEP_CHAIN - 1, [0])
+        return detector
+
+    def test_acyclic_chain(self):
+        detector = self.chain(closed=False)
+        assert detector.find_cycle(0) is None
+        assert detector.check(0) is None
+
+    def test_chain_closed_into_a_cycle(self):
+        detector = self.chain(closed=True)
+        assert detector.find_cycle(0) == tuple(range(DEEP_CHAIN))
+        assert detector.find_cycle(DEEP_CHAIN // 2) == tuple(
+            range(DEEP_CHAIN // 2, DEEP_CHAIN)
+        ) + tuple(range(DEEP_CHAIN // 2))
+        assert detector.check(0) == DEEP_CHAIN - 1
+
+
+def recursive_find_cycle(waits_for, start):
+    """The recursive DFS ``find_cycle`` replaced (the oracle)."""
+    path, on_path, visited = [], set(), set()
+
+    def dfs(node):
+        path.append(node)
+        on_path.add(node)
+        for successor in waits_for.get(node, ()):
+            if successor in on_path:
+                idx = path.index(successor)
+                return tuple(path[idx:])
+            if successor not in visited:
+                cycle = dfs(successor)
+                if cycle is not None:
+                    return cycle
+        path.pop()
+        on_path.remove(node)
+        visited.add(node)
+        return None
+
+    return dfs(start)
+
+
+class ScanDetector:
+    """The graph bookkeeping of a detector that finds a finished
+    transaction's in-edges by scanning every blocker set (the oracle)."""
+
+    def __init__(self):
+        self._waits_for = {}
+
+    def set_waits(self, waiter, blockers):
+        blockers = {b for b in blockers if b != waiter}
+        if blockers:
+            self._waits_for[waiter] = blockers
+        else:
+            self._waits_for.pop(waiter, None)
+
+    def clear_waits(self, waiter):
+        self._waits_for.pop(waiter, None)
+
+    def remove_transaction(self, txn_id):
+        self._waits_for.pop(txn_id, None)
+        for blockers in self._waits_for.values():
+            blockers.discard(txn_id)
+
+
+def graph_of(detector):
+    """The wait-for graph with dict and set iteration order kept."""
+    return [(w, list(b)) for w, b in detector._waits_for.items()]
+
+
+GRAPH_TXNS = st.integers(min_value=0, max_value=40)
+GRAPH_ACTIONS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("set_waits"), GRAPH_TXNS, st.lists(GRAPH_TXNS, max_size=8)
+        ),
+        st.tuples(st.just("clear_waits"), GRAPH_TXNS, st.none()),
+        st.tuples(st.just("remove_transaction"), GRAPH_TXNS, st.none()),
+    ),
+    max_size=80,
+)
+
+
+class TestAgainstOracles:
+    @settings(max_examples=300, deadline=None)
+    @given(GRAPH_ACTIONS)
+    def test_reverse_index_matches_full_scan(self, actions):
+        detector, oracle = DeadlockDetector(), ScanDetector()
+        for action, txn, blockers in actions:
+            args = (txn,) if blockers is None else (txn, blockers)
+            getattr(detector, action)(*args)
+            getattr(oracle, action)(*args)
+            assert graph_of(detector) == graph_of(oracle)
+
+    @settings(max_examples=300, deadline=None)
+    @given(GRAPH_ACTIONS, GRAPH_TXNS)
+    def test_find_cycle_matches_recursive_dfs(self, actions, start):
+        detector = DeadlockDetector()
+        for action, txn, blockers in actions:
+            args = (txn,) if blockers is None else (txn, blockers)
+            getattr(detector, action)(*args)
+        assert detector.find_cycle(start) == recursive_find_cycle(
+            detector._waits_for, start
+        )
 
 
 class TestVictimPolicy:

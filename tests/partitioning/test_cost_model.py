@@ -53,20 +53,6 @@ class TestCostUnderPlacement:
         plan = PartitionPlan({1: 0})
         assert model.cost_under_plan([0, 1], plan, pmap) == 1.0
 
-    def test_improvement_positive_for_collocation(self, model, pmap):
-        ttype = TransactionType(type_id=0, keys=(0, 1), frequency=2.0)
-        plan = PartitionPlan({1: 0})
-        assert model.improvement(ttype, plan, pmap) == 1.0
-
-    def test_improvement_zero_when_already_local(self, model, pmap):
-        ttype = TransactionType(type_id=0, keys=(0, 2), frequency=2.0)
-        assert model.improvement(ttype, PartitionPlan(), pmap) == 0.0
-
-    def test_improvement_negative_when_plan_splits(self, model, pmap):
-        ttype = TransactionType(type_id=0, keys=(0, 2), frequency=1.0)
-        plan = PartitionPlan({2: 1})
-        assert model.improvement(ttype, plan, pmap) == -1.0
-
 
 class TestRepartitionCosts:
     def test_rep_txn_cost_is_per_op(self, model):

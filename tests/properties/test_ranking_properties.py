@@ -89,7 +89,9 @@ class TestAlgorithm1Invariants:
         for spec in specs:
             if spec.type_id >= 0:
                 ttype = profile.type(spec.type_id)
-                assert model.improvement(ttype, plan, pmap) > 0
+                assert model.cost_under_map(
+                    ttype.keys, pmap
+                ) - model.cost_under_plan(ttype.keys, plan, pmap) > 0
 
     @settings(max_examples=100, deadline=None)
     @given(ranking_inputs())
